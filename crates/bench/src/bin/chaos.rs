@@ -21,7 +21,7 @@
 
 use mmjoin_bench::load::{machine_override, opt, random_job};
 use mmjoin_env::FaultSpec;
-use mmjoin_serve::{AdmissionPolicy, ServeConfig, Service, PAGE};
+use mmjoin_serve::{AdmissionPolicy, JoinService, ServeConfig, Service, PAGE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

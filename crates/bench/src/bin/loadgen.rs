@@ -9,12 +9,13 @@
 //! ```
 //!
 //! With `--shards N` (N > 1) it becomes a sweep: the **same** job list
-//! under the **same** fault spec is run twice — once through the
-//! single-queue [`Service`], once through the N-shard
-//! [`ShardedService`] — and the two throughput/latency profiles are
-//! compared side by side (JSON lands in `results/loadgen_shards.json`).
-//! The default mix injects small real I/O stalls ([`CONTENDED_SPEC`]),
-//! which a single admission queue serializes and shards overlap.
+//! under the **same** fault spec is run twice through the one service
+//! core — once with one shard ([`Service::start`], a single queue), once
+//! with N shards ([`Service::sharded`]) — and the two throughput/latency
+//! profiles are compared side by side (JSON lands in
+//! `results/loadgen_shards.json`). The default mix injects small real
+//! I/O stalls ([`CONTENDED_SPEC`]), which a single admission queue
+//! serializes and shards overlap.
 //!
 //! With `--nodes N` (N > 1) it becomes the **cluster** sweep: the same
 //! contended job list runs three times through a [`Coordinator`] over
@@ -30,8 +31,7 @@ use mmjoin_bench::load::{machine_override, opt, random_job, CONTENDED_SPEC};
 use mmjoin_cluster::{ClusterConfig, Coordinator, NodeServer};
 use mmjoin_env::FaultSpec;
 use mmjoin_serve::{
-    AdmissionPolicy, JobRequest, JoinService, PlacementKind, ServeConfig, Service, ShardedService,
-    PAGE,
+    AdmissionPolicy, JobRequest, JoinService, PlacementKind, ServeConfig, Service, PAGE,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -330,8 +330,8 @@ fn main() {
     }
 }
 
-/// Run the identical contended job list through the single-queue
-/// service and the sharded service, and compare.
+/// Run the identical contended job list through a one-shard and an
+/// N-shard service, and compare.
 #[allow(clippy::too_many_arguments)]
 fn sweep(
     jobs: u64,
@@ -377,7 +377,7 @@ fn sweep(
         }
     };
     single.print();
-    let sharded = match ShardedService::start(cfg(), shards, placement.build()) {
+    let sharded = match Service::sharded(cfg(), shards, placement.build()) {
         Ok(svc) => run(
             &format!("{shards}-shard/{}", placement.name()),
             Box::new(svc),

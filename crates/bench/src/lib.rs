@@ -168,32 +168,19 @@ pub fn fig5_json(rows: &[Fig5Row]) -> String {
             concat!(
                 "{{\"frac\":{:.6},\"pages\":{},\"model_seconds\":{model},",
                 "\"sim_seconds\":{:.6},\"read_faults\":{},\"write_backs\":{},",
-                "\"note\":\"{}\"}}"
+                "\"note\":{}}}"
             ),
             r.frac,
             r.pages,
             r.sim,
             r.faults_read,
             r.faults_write,
-            json_escape(&r.note),
+            mmjoin_env::json::quote(&r.note),
             model = model,
         ));
     }
     s.push(']');
     s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Honour the experiment binaries' `--json` flag: when present on the
@@ -366,7 +353,7 @@ mod tests {
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"model_seconds\":null"));
         assert!(j.contains("\"model_seconds\":4.5"));
-        assert!(j.contains("K=3 \\\"quoted\\\"\\u000a"));
+        assert!(j.contains("K=3 \\\"quoted\\\"\\n"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 

@@ -39,8 +39,8 @@ pub fn machine_override(
 
 /// The default contended mix for the `--shards` sweep: every page-level
 /// I/O has a small chance of a real 2 ms stall (`FaultKind::Delay`
-/// sleeps the worker thread). A single-queue service serializes those
-/// stalls behind one admission queue; a sharded service overlaps them
+/// sleeps the worker thread). A one-shard service serializes those
+/// stalls behind one admission queue; N shards overlap them
 /// across shards — which is exactly the contention the sweep measures,
 /// and it does not depend on spare CPU cores.
 pub const CONTENDED_SPEC: &str = "seed=7;delay:p=0.1:ms=4";

@@ -113,26 +113,6 @@ fn type_err(wanted: &str, got: &Json) -> EnvError {
     EnvError::InvalidConfig(format!("profile: expected a {wanted}, got a {kind}"))
 }
 
-/// Escape `s` into a JSON string literal body (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -318,6 +298,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmjoin_env::json::quote;
 
     #[test]
     fn parses_nested_document() {
@@ -383,7 +364,7 @@ mod tests {
     #[test]
     fn escape_round_trips() {
         let s = "a\"b\\c\nd\te\u{1}f";
-        let doc = Json::parse(&format!("{{\"v\": \"{}\"}}", escape(s))).unwrap();
+        let doc = Json::parse(&format!("{{\"v\": {}}}", quote(s))).unwrap();
         assert_eq!(doc.get("v").unwrap().as_str().unwrap(), s);
     }
 }

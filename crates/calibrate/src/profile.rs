@@ -20,7 +20,9 @@ use std::path::Path;
 use mmjoin_env::machine::{DttCurve, MachineParams, MapCostModel};
 use mmjoin_env::{CpuOp, EnvError, MoveKind, Result};
 
-use crate::json::{escape, Json};
+use mmjoin_env::json::quote;
+
+use crate::json::Json;
 
 /// Format marker every profile document must carry.
 pub const PROFILE_FORMAT: &str = "mmjoin-machine-profile";
@@ -131,8 +133,8 @@ impl MachineProfile {
         let _ = writeln!(out, "  \"format\": \"{PROFILE_FORMAT}\",");
         let _ = writeln!(out, "  \"version\": {},", self.version);
         out.push_str("  \"provenance\": {\n");
-        let _ = writeln!(out, "    \"host\": \"{}\",", escape(&p.host));
-        let _ = writeln!(out, "    \"device\": \"{}\",", escape(&p.device));
+        let _ = writeln!(out, "    \"host\": {},", quote(&p.host));
+        let _ = writeln!(out, "    \"device\": {},", quote(&p.device));
         let _ = writeln!(out, "    \"created_unix\": {},", p.created_unix);
         let _ = writeln!(out, "    \"direct_io\": {},", p.direct_io);
         let _ = writeln!(out, "    \"quick\": {},", p.quick);

@@ -45,6 +45,7 @@ use mmjoin::{
     SampleSummary, HISTOGRAM_BUCKETS, SAMPLE_CAP,
 };
 use mmjoin_calibrate::{calibrate_host, CalibrateOptions, MachineProfile};
+use mmjoin_env::json::quote;
 use mmjoin_env::machine::MachineParams;
 use mmjoin_env::{FaultSpec, FaultyEnv, JsonlSink, TraceSink};
 use mmjoin_relstore::{
@@ -213,6 +214,14 @@ fn trace_sink_from(args: &Args) -> Result<Option<std::sync::Arc<JsonlSink>>, Str
         Some(path) => JsonlSink::create(path)
             .map(|s| Some(std::sync::Arc::new(s)))
             .map_err(|e| format!("--trace: cannot create '{path}': {e}")),
+    }
+}
+
+/// Flush the `--trace` sink, if one is open.
+fn flush_trace(sink: &Option<std::sync::Arc<JsonlSink>>) -> Result<(), String> {
+    match sink {
+        Some(s) => s.flush().map_err(|e| format!("--trace: flush failed: {e}")),
+        None => Ok(()),
     }
 }
 
@@ -425,8 +434,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return cmd_stream(args);
     }
     use mmjoin_serve::{
-        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, Service, ShardedService,
-        PAGE,
+        AdmissionPolicy, EnvKind, JoinService, PlacementKind, ServeConfig, Service, PAGE,
     };
 
     let budget_pages: u64 = args.get_or("budget-pages", 256)?;
@@ -445,6 +453,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if resume && journal_dir.is_none() {
         return Err("--resume requires --journal DIR".to_string());
     }
+    let mut scratch = None;
     let env = match args.get("env").unwrap_or("sim") {
         "sim" => EnvKind::Sim,
         "mmap" => EnvKind::Mmap {
@@ -452,7 +461,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 // Pin the store next to the journal so a restarted serve
                 // finds (and garbage-collects) the previous life's areas.
                 Some(dir) => dir.join("store"),
-                None => std::env::temp_dir().join(format!("mmjoin-serve-{}", std::process::id())),
+                None => scratch.insert(ScratchRoot::new("serve")).0.clone(),
             },
         },
         other => return Err(format!("unknown env '{other}' (sim | mmap)")),
@@ -539,17 +548,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
         node.wait();
         println!("node stopped");
-        if let Some(s) = &sink {
-            s.flush()
-                .map_err(|e| format!("--trace: flush failed: {e}"))?;
-        }
+        flush_trace(&sink)?;
         return Ok(());
     }
-    let svc: Box<dyn JoinService> = if shards > 1 {
-        Box::new(ShardedService::start(cfg, shards, placement.build())?)
-    } else {
-        Box::new(Service::start(cfg)?)
-    };
+    let svc = Service::sharded(cfg, shards, placement.build())?;
     let ids = svc.submit_script(&script)?;
     if shards > 1 {
         println!(
@@ -635,42 +637,68 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             stats.journal_resumed_jobs
         );
     }
-    if let Some(path) = args.get("results-json") {
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+    write_results_json(
+        args,
+        results.iter().map(|r| {
+            format!(
                 "{{\"id\":{},\"name\":{},\"alg\":{},\"pairs\":{},\"checksum\":{},\
                  \"ok\":{},\"resumed\":{}}}",
                 r.id,
-                json_str(&r.name),
-                json_str(r.alg.name()),
+                quote(&r.name),
+                quote(r.alg.name()),
                 r.pairs,
                 r.checksum,
                 r.error.is_none() && r.verified,
                 r.resumed
-            ));
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
-    if let Some(path) = args.get("stats-json") {
-        std::fs::write(path, stats.to_json()).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("stats written to {path}");
-    } else if args.flag("json") {
-        println!("{}", stats.to_json());
-    }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+            )
+        }),
+    )?;
+    write_stats_json(args, &stats.to_json())?;
+    flush_trace(&sink)?;
     if stats.failed > 0 {
         return Err(format!("{} job(s) failed", stats.failed));
     }
     Ok(())
+}
+
+/// Honour `--results-json FILE`: write `rows` (one JSON object each) as
+/// a JSON array.
+fn write_results_json(args: &Args, rows: impl Iterator<Item = String>) -> Result<(), String> {
+    let Some(path) = args.get("results-json") else {
+        return Ok(());
+    };
+    let out = format!("[{}]\n", rows.collect::<Vec<_>>().join(","));
+    std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
+    println!("results written to {path}");
+    Ok(())
+}
+
+/// Honour `--stats-json FILE` (write `json` there) or `--json` (print it).
+fn write_stats_json(args: &Args, json: &str) -> Result<(), String> {
+    if let Some(path) = args.get("stats-json") {
+        std::fs::write(path, json).map_err(|e| format!("cannot write '{path}': {e}"))?;
+        println!("stats written to {path}");
+    } else if args.flag("json") {
+        println!("{json}");
+    }
+    Ok(())
+}
+
+/// A throwaway store root under the system temp directory, removed when
+/// dropped: on success, on every error return, and after a SIGTERM
+/// drain alike.
+struct ScratchRoot(std::path::PathBuf);
+
+impl ScratchRoot {
+    fn new(kind: &str) -> ScratchRoot {
+        ScratchRoot(std::env::temp_dir().join(format!("mmjoin-{kind}-{}", std::process::id())))
+    }
+}
+
+impl Drop for ScratchRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Set by the SIGTERM handler; polled by the stream intake loop.
@@ -810,11 +838,12 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             run_stream(std::sync::Arc::new(env), header, cfg, feed, args, &sink)
         }
         "mmap" => {
+            let mut scratch = None;
             let root = match &journal_dir {
                 // Pin the store next to the journal so a restarted
                 // stream recovers the previous life's segments.
                 Some(dir) => dir.join("store"),
-                None => std::env::temp_dir().join(format!("mmjoin-stream-{}", std::process::id())),
+                None => scratch.insert(ScratchRoot::new("stream")).0.clone(),
             };
             let mm_cfg = mmjoin_mmstore::MmapEnvConfig {
                 root: root.clone(),
@@ -991,18 +1020,7 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
             stats.resumed_batches
         );
     }
-    if let Some(path) = args.get("results-json") {
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
+    write_results_json(args, results.iter().map(|r| r.to_json()))?;
     if args.get("stats-json").is_some() || args.flag("json") {
         // Streaming runs report through the same ServiceStats JSON as
         // the batch service, so dashboards and the schema goldens see
@@ -1031,44 +1049,13 @@ fn run_stream<E: mmjoin_env::Env + 'static>(
             queue_hist: stats.queue_hist.clone(),
             ..Default::default()
         };
-        if let Some(path) = args.get("stats-json") {
-            std::fs::write(path, svc.to_json())
-                .map_err(|e| format!("cannot write '{path}': {e}"))?;
-            println!("stats written to {path}");
-        } else {
-            println!("{}", svc.to_json());
-        }
+        write_stats_json(args, &svc.to_json())?;
     }
-    if let Some(s) = sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+    flush_trace(sink)?;
     if stats.failed > 0 {
         return Err(format!("{} op(s) failed", stats.failed));
     }
     Ok(())
-}
-
-/// Quote `s` as a JSON string: escape backslash, quote, and control
-/// characters; all other Unicode passes through verbatim. (`{:?}` is
-/// not JSON — it renders non-ASCII as `\u{e9}`-style escapes, which
-/// JSON parsers reject.)
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn cmd_coordinator(args: &Args) -> Result<(), String> {
@@ -1185,42 +1172,28 @@ fn cmd_coordinator(args: &Args) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = args.get("results-json") {
-        // Leading keys match serve's --results-json so outcome sets
-        // from single-node and cluster runs compare directly.
-        let mut out = String::from("[");
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+    // Leading keys match serve's --results-json so outcome sets from
+    // single-node and cluster runs compare directly.
+    write_results_json(
+        args,
+        results.iter().map(|r| {
+            format!(
                 "{{\"id\":{},\"name\":{},\"alg\":{},\"pairs\":{},\"checksum\":{},\
                  \"ok\":{},\"resumed\":{},\"node\":{},\"requeues\":{}}}",
                 r.id,
-                json_str(&r.name),
-                json_str(&r.alg),
+                quote(&r.name),
+                quote(&r.alg),
                 r.pairs,
                 r.checksum,
                 r.ok,
                 r.resumed,
-                json_str(&r.node),
+                quote(&r.node),
                 r.requeues
-            ));
-        }
-        out.push_str("]\n");
-        std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("results written to {path}");
-    }
-    if let Some(path) = args.get("stats-json") {
-        std::fs::write(path, stats.to_json()).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        println!("stats written to {path}");
-    } else if args.flag("json") {
-        println!("{}", stats.to_json());
-    }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+            )
+        }),
+    )?;
+    write_stats_json(args, &stats.to_json())?;
+    flush_trace(&sink)?;
     if stats.failed > 0 {
         return Err(format!("{} job(s) failed", stats.failed));
     }
@@ -1323,10 +1296,7 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("--out: {e}"))?;
         println!("profile written to {path}");
     }
-    if let Some(s) = &sink {
-        s.flush()
-            .map_err(|e| format!("--trace: flush failed: {e}"))?;
-    }
+    flush_trace(&sink)?;
     Ok(())
 }
 

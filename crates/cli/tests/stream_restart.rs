@@ -52,10 +52,11 @@ fn outcome_set(json: &str) -> BTreeSet<String> {
         .collect()
 }
 
-fn run_to_completion(jobs: &Path, journal: Option<&Path>, results: &Path) {
+fn run_to_completion(jobs: &Path, journal: Option<&Path>, extra: &[&str], results: &Path) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_mmjoin"));
     cmd.args(["serve", "--stream", "--jobs"])
         .arg(jobs)
+        .args(extra)
         .arg("--results-json")
         .arg(results);
     if let Some(dir) = journal {
@@ -82,7 +83,7 @@ fn kill9_then_resume_is_exactly_once() {
 
     // Uninterrupted reference.
     let ref_json = dir.join("reference.json");
-    run_to_completion(&jobs, None, &ref_json);
+    run_to_completion(&jobs, None, &[], &ref_json);
     let reference = outcome_set(&std::fs::read_to_string(&ref_json).expect("read reference"));
     assert_eq!(reference.len(), 12, "reference covers every op");
 
@@ -137,6 +138,47 @@ fn kill9_then_resume_is_exactly_once() {
         resumed_text.contains("\"resumed\":true"),
         "at least one op was re-reported from the journal"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journaled run on the real mmap store keeps its store beside the
+/// journal (`DIR/store`); opening the journal must not wipe it. Run to
+/// completion, then resume header-only: every op is re-reported from
+/// the journal, equal to an unjournaled reference.
+#[test]
+fn journaled_mmap_run_completes_and_resumes() {
+    let dir = tmp("mmap");
+    let jobs = dir.join("jobs.txt");
+    std::fs::write(&jobs, script()).expect("write jobs");
+    let header_only = dir.join("header.txt");
+    std::fs::write(&header_only, HEADER).expect("write header");
+
+    let ref_json = dir.join("reference.json");
+    run_to_completion(&jobs, None, &[], &ref_json);
+    let reference = outcome_set(&std::fs::read_to_string(&ref_json).expect("read reference"));
+    assert_eq!(reference.len(), 12, "reference covers every op");
+
+    let wal = dir.join("journal");
+    let mmap_json = dir.join("mmap.json");
+    run_to_completion(&jobs, Some(&wal), &["--env", "mmap"], &mmap_json);
+    let journaled = outcome_set(&std::fs::read_to_string(&mmap_json).expect("read mmap run"));
+    assert_eq!(journaled, reference, "journaled mmap run matches reference");
+
+    let resumed_json = dir.join("resumed.json");
+    run_to_completion(
+        &header_only,
+        Some(&wal),
+        &["--env", "mmap", "--resume"],
+        &resumed_json,
+    );
+    let resumed_text = std::fs::read_to_string(&resumed_json).expect("read resumed");
+    assert_eq!(
+        outcome_set(&resumed_text),
+        reference,
+        "resume re-reports every op"
+    );
+    assert!(resumed_text.contains("\"resumed\":true"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mmjoin_serve::{JobRequest, ServeConfig, Service};
+use mmjoin_serve::{JobRequest, JoinService, ServeConfig, Service};
 
 use crate::wire::{write_msg, FrameReader, Message};
 

@@ -15,7 +15,7 @@ use mmjoin::RetryPolicy;
 use mmjoin_cluster::wire::{read_msg, write_msg};
 use mmjoin_cluster::{ClusterConfig, ClusterJobResult, Coordinator, Message, NodeServer};
 use mmjoin_env::FaultSpec;
-use mmjoin_serve::{JobRequest, ServeConfig, Service, PAGE};
+use mmjoin_serve::{JobRequest, JoinService, ServeConfig, Service, PAGE};
 
 /// Named jobs in the shared script grammar; names key the outcome-set
 /// comparison against the single-node reference.

@@ -27,6 +27,7 @@ pub mod error;
 pub mod faults;
 pub mod hist;
 pub mod ids;
+pub mod json;
 pub mod layout;
 pub mod machine;
 pub mod stats;

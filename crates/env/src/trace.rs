@@ -24,6 +24,8 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::json::escape;
+
 /// How a mapping came into being: a fresh file (`newMap`) or an existing
 /// one re-opened (`openMap`), mirroring the Fig. 1b cost taxonomy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -168,8 +170,8 @@ pub enum TraceEvent {
         job: u64,
         /// Reserved footprint `m_rproc × D` in bytes.
         footprint: u64,
-        /// Shard the placement policy assigned the job to (0 on the
-        /// single-queue service).
+        /// Shard the placement policy assigned the job to (0 on a
+        /// one-shard service).
         shard: u32,
     },
     /// The admission controller dispatched a queued job to a worker.
@@ -179,16 +181,16 @@ pub enum TraceEvent {
         /// Reserved footprint in bytes.
         footprint: u64,
         /// Budget bytes in use on the admitting shard after this
-        /// admission (the whole global budget on the single-queue
+        /// admission (of the whole global budget on a one-shard
         /// service).
         used: u64,
-        /// Shard whose worker admitted the job (0 on the single-queue
+        /// Shard whose worker admitted the job (0 on a one-shard
         /// service); differs from the [`TraceEvent::JobSubmitted`] shard
         /// when the job was stolen.
         shard: u32,
     },
     /// An idle shard stole a queued-but-unadmitted job from an
-    /// overloaded sibling (sharded service only).
+    /// overloaded sibling (never on a one-shard service).
     JobStolen {
         /// Service job id.
         job: u64,
@@ -556,24 +558,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Encode one record as a JSON object (no trailing newline).
 pub fn encode(t: f64, event: &TraceEvent) -> String {
     use fmt::Write as _;
@@ -591,7 +575,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
                 s,
                 ",\"proc\":{proc},\"pass\":{pass},\"phase\":{phase},\"disk\":{disk},\"area\":\""
             );
-            esc(area, &mut s);
+            escape(area, &mut s);
             s.push('"');
         }
         TraceEvent::PassEnd {
@@ -607,7 +591,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
                 s,
                 ",\"proc\":{proc},\"pass\":{pass},\"phase\":{phase},\"disk\":{disk},\"area\":\""
             );
-            esc(area, &mut s);
+            escape(area, &mut s);
             let _ = write!(s, "\",\"bytes\":{bytes},\"objects\":{objects}");
         }
         TraceEvent::MapSetup {
@@ -618,12 +602,12 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             bytes,
         } => {
             let _ = write!(s, ",\"proc\":{proc},\"op\":\"{}\",\"name\":\"", op.as_str());
-            esc(name, &mut s);
+            escape(name, &mut s);
             let _ = write!(s, "\",\"disk\":{disk},\"bytes\":{bytes}");
         }
         TraceEvent::MapTeardown { proc, name, disk } => {
             let _ = write!(s, ",\"proc\":{proc},\"name\":\"");
-            esc(name, &mut s);
+            escape(name, &mut s);
             let _ = write!(s, "\",\"disk\":{disk}");
         }
         TraceEvent::FaultInjected {
@@ -634,11 +618,11 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             disk,
         } => {
             let _ = write!(s, ",\"proc\":{proc},\"op\":\"");
-            esc(op, &mut s);
+            escape(op, &mut s);
             s.push_str("\",\"kind\":\"");
-            esc(kind, &mut s);
+            escape(kind, &mut s);
             s.push_str("\",\"name\":\"");
-            esc(name, &mut s);
+            escape(name, &mut s);
             s.push('"');
             match disk {
                 Some(d) => {
@@ -675,12 +659,12 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             source,
         } => {
             let _ = write!(s, ",\"job\":{job},\"algorithm\":\"");
-            esc(algorithm, &mut s);
+            escape(algorithm, &mut s);
             let _ = write!(
                 s,
                 "\",\"m_rproc\":{m_rproc},\"partitions\":{partitions},\"skew\":{skew},\"source\":\""
             );
-            esc(source, &mut s);
+            escape(source, &mut s);
             s.push('"');
         }
         TraceEvent::JobSubmitted {
@@ -722,7 +706,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
         }
         TraceEvent::JournalAppend { kind, bytes } => {
             s.push_str(",\"kind\":\"");
-            esc(kind, &mut s);
+            escape(kind, &mut s);
             let _ = write!(s, "\",\"bytes\":{bytes}");
         }
         TraceEvent::Checkpoint { job, pass } => {
@@ -745,17 +729,17 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             workers,
         } => {
             s.push_str(",\"node\":\"");
-            esc(node, &mut s);
+            escape(node, &mut s);
             let _ = write!(s, "\",\"budget\":{budget},\"workers\":{workers}");
         }
         TraceEvent::NodeLost { node, in_flight } => {
             s.push_str(",\"node\":\"");
-            esc(node, &mut s);
+            escape(node, &mut s);
             let _ = write!(s, "\",\"in_flight\":{in_flight}");
         }
         TraceEvent::JobRequeued { job, from, attempt } => {
             let _ = write!(s, ",\"job\":{job},\"from\":\"");
-            esc(from, &mut s);
+            escape(from, &mut s);
             let _ = write!(s, "\",\"attempt\":{attempt}");
         }
         TraceEvent::KernelRadix {
@@ -765,7 +749,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             objects,
         } => {
             let _ = write!(s, ",\"proc\":{proc},\"area\":\"");
-            esc(area, &mut s);
+            escape(area, &mut s);
             let _ = write!(s, "\",\"buckets\":{buckets},\"objects\":{objects}");
         }
         TraceEvent::KernelMerge {
@@ -775,7 +759,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             objects,
         } => {
             let _ = write!(s, ",\"proc\":{proc},\"area\":\"");
-            esc(area, &mut s);
+            escape(area, &mut s);
             let _ = write!(s, "\",\"runs\":{runs},\"objects\":{objects}");
         }
         TraceEvent::KernelProbe {
@@ -791,7 +775,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
         }
         TraceEvent::ProbeStart { probe, reps } => {
             s.push_str(",\"probe\":\"");
-            esc(probe, &mut s);
+            escape(probe, &mut s);
             let _ = write!(s, "\",\"reps\":{reps}");
         }
         TraceEvent::ProbeEnd {
@@ -800,7 +784,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             seconds,
         } => {
             s.push_str(",\"probe\":\"");
-            esc(probe, &mut s);
+            escape(probe, &mut s);
             let _ = write!(s, "\",\"reps\":{reps},\"seconds\":{seconds:.9}");
         }
         TraceEvent::ProbeFit {
@@ -810,7 +794,7 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             residual,
         } => {
             s.push_str(",\"fit\":\"");
-            esc(fit, &mut s);
+            escape(fit, &mut s);
             let _ = write!(
                 s,
                 "\",\"base\":{base:.12},\"slope\":{slope:.12},\"residual\":{residual:.12}"
@@ -822,12 +806,12 @@ pub fn encode(t: f64, event: &TraceEvent) -> String {
             layout,
         } => {
             let _ = write!(s, ",\"parts\":{parts},\"objects\":{objects},\"layout\":\"");
-            esc(layout, &mut s);
+            escape(layout, &mut s);
             s.push('"');
         }
         TraceEvent::ResidentPatched { op, objects, live } => {
             s.push_str(",\"op\":\"");
-            esc(op, &mut s);
+            escape(op, &mut s);
             let _ = write!(s, "\",\"objects\":{objects},\"live\":{live}");
         }
         TraceEvent::BatchSubmitted { batch, rows } => {

@@ -216,9 +216,9 @@ fn parse_num(key: &str, value: &str) -> Result<u64, String> {
 pub struct JobResult {
     /// Submission-order id.
     pub id: JobId,
-    /// Shard whose worker executed the job — 0 on the single-queue
-    /// service; may differ from the shard the placement policy chose
-    /// when the job was stolen by an idle sibling.
+    /// Shard whose worker executed the job — 0 on a one-shard service;
+    /// may differ from the shard the placement policy chose when the job
+    /// was stolen by an idle sibling.
     pub shard: u32,
     /// Client label from the request.
     pub name: String,
@@ -269,6 +269,37 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result of a planned job before anything has run: zero
+    /// counters, no outputs, not verified. Execution and journal replay
+    /// fill in what they learn on top of it.
+    pub(crate) fn planned(id: JobId, req: &JobRequest, plan: &mmjoin::PlanChoice) -> JobResult {
+        JobResult {
+            id,
+            shard: 0,
+            name: req.name.clone(),
+            alg: req.alg.unwrap_or_else(|| Algo::from(plan.algorithm)),
+            predicted_seconds: plan.predicted_seconds(),
+            pairs: 0,
+            checksum: 0,
+            verified: false,
+            env_elapsed: 0.0,
+            queue_wait: 0.0,
+            exec_wall: 0.0,
+            read_faults: 0,
+            write_backs: 0,
+            attempts: 0,
+            retries: 0,
+            faults_injected: 0,
+            degraded: 0,
+            released_bytes: 0,
+            cleaned_files: 0,
+            deadline_hit: false,
+            panicked: false,
+            resumed: false,
+            error: None,
+        }
+    }
+
     /// Wall-clock latency a client observes: queue wait plus execution.
     pub fn latency(&self) -> f64 {
         self.queue_wait + self.exec_wall

@@ -8,7 +8,7 @@
 //!
 //! * a **job queue + admission controller** ([`Service`]) that holds
 //!   pending requests and admits one only when its `m_rproc × D`
-//!   footprint fits a configured global budget — FIFO by default, or
+//!   footprint fits the budget — FIFO by default, or
 //!   shortest-predicted-job-first using the planner's
 //!   ([`mmjoin::choose`]) predicted seconds as the priority key;
 //! * an **executor pool** of worker threads running admitted jobs on
@@ -17,14 +17,17 @@
 //!   tools use;
 //! * a **service stats layer** ([`ServiceStats`]) folding per-job
 //!   process counters into service-level totals, with a JSON snapshot;
-//! * a **sharded service** ([`ShardedService`]) that partitions the
-//!   global budget across N shards — each with its own queue, worker
-//!   pool, and counters — with pluggable cross-shard [`Placement`]
-//!   policies and work stealing between shards. Both services implement
-//!   the [`JoinService`] trait, so callers can switch between them.
+//! * **sharding**: the global budget is partitioned across N shards —
+//!   each with its own queue, worker pool, and counters — with pluggable
+//!   cross-shard [`Placement`] policies and work stealing between
+//!   shards. There is one service core: [`Service::start`] is its
+//!   one-shard case (the slice is the whole budget) and
+//!   [`Service::sharded`] its N-shard case. Submitting, draining, and
+//!   reading results and stats are [`JoinService`] methods, so callers
+//!   may also hold the service as a `Box<dyn JoinService>`.
 //!
 //! ```
-//! use mmjoin_serve::{JobRequest, ServeConfig, Service, PAGE};
+//! use mmjoin_serve::{JobRequest, JoinService, ServeConfig, Service, PAGE};
 //!
 //! // A 32-page global budget; jobs of 16 pages each ⇒ two at a time.
 //! let svc = Service::start(ServeConfig::sim(32 * PAGE, 4)).unwrap();
@@ -37,14 +40,12 @@
 //! assert!(stats.peak_budget_bytes <= stats.budget_bytes);
 //! ```
 //!
-//! The sharded service is a drop-in replacement behind [`JoinService`]:
+//! Sharding is a constructor argument, not a different service:
 //!
 //! ```
-//! use mmjoin_serve::{
-//!     JobRequest, JoinService, PlacementKind, ServeConfig, ShardedService, PAGE,
-//! };
+//! use mmjoin_serve::{JobRequest, JoinService, PlacementKind, ServeConfig, Service, PAGE};
 //!
-//! let svc = ShardedService::start(
+//! let svc = Service::sharded(
 //!     ServeConfig::sim(32 * PAGE, 2),
 //!     4,
 //!     PlacementKind::PredictedBalanced.build(),
@@ -67,7 +68,7 @@ pub mod placement;
 mod plan;
 mod recovery;
 pub mod service;
-pub mod shard;
+mod shard;
 pub mod stats;
 
 pub use admission::{AdmissionPolicy, Candidate};
@@ -76,5 +77,4 @@ pub use placement::{
     LeastLoaded, Placement, PlacementKind, PredictedBalanced, RoundRobin, ShardLoad,
 };
 pub use service::{service_machine, EnvKind, JoinService, ServeConfig, Service};
-pub use shard::ShardedService;
 pub use stats::{percentile, ServiceStats};

@@ -49,6 +49,7 @@ const JOURNAL_CAPACITY: u64 = 4 << 20;
 const JOURNAL_PROC: ProcId = ProcId(0);
 
 /// What `Journal::open` replayed, before the service interprets it.
+#[derive(Default)]
 pub(crate) struct ResumePlan {
     /// Folded journal state.
     pub(crate) state: ReplayState,
@@ -67,6 +68,12 @@ pub(crate) struct ServiceJournal {
 }
 
 impl ServiceJournal {
+    fn wrap(journal: Journal<MmapEnv>) -> Arc<ServiceJournal> {
+        Arc::new(ServiceJournal {
+            inner: Mutex::new(journal),
+        })
+    }
+
     /// Open (resuming) or create (fresh) the journal under `dir`.
     ///
     /// A fresh start wipes `dir` first: the directory is dedicated to
@@ -89,12 +96,7 @@ impl ServiceJournal {
             env.set_trace_sink(sink);
             let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
                 .map_err(|e| format!("journal create: {e}"))?;
-            return Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                None,
-            ));
+            return Ok((ServiceJournal::wrap(journal), None));
         }
         let (env, adopted) = MmapEnv::recover(cfg).map_err(|e| format!("journal env: {e}"))?;
         env.set_trace_sink(sink);
@@ -106,27 +108,13 @@ impl ServiceJournal {
                 torn_bytes: replayed.torn_bytes,
                 state: ReplayState::from_records(&replayed.records),
             };
-            Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                Some(plan),
-            ))
+            Ok((ServiceJournal::wrap(journal), Some(plan)))
         } else {
             // --resume with no prior journal: first start, nothing to
             // replay.
             let journal = Journal::create(env, JOURNAL_FILE, JOURNAL_CAPACITY, JOURNAL_PROC)
                 .map_err(|e| format!("journal create: {e}"))?;
-            Ok((
-                Arc::new(ServiceJournal {
-                    inner: Mutex::new(journal),
-                }),
-                Some(ResumePlan {
-                    state: ReplayState::default(),
-                    records: 0,
-                    torn_bytes: 0,
-                }),
-            ))
+            Ok((ServiceJournal::wrap(journal), Some(ResumePlan::default())))
         }
     }
 
@@ -307,33 +295,16 @@ pub(crate) fn plan_resume(cfg: &ServeConfig, plan: ResumePlan) -> Result<ResumeO
             Some((pairs, checksum, ok)) => {
                 let plan = choose(cfg.machine()?, &req.planner_inputs());
                 finished.push(JobResult {
-                    id: *id,
-                    shard: 0,
-                    name: req.name.clone(),
-                    alg: req.alg.unwrap_or_else(|| plan.algorithm.into()),
-                    predicted_seconds: plan.predicted_seconds(),
                     pairs,
                     checksum,
                     verified: ok,
-                    env_elapsed: 0.0,
-                    queue_wait: 0.0,
-                    exec_wall: 0.0,
-                    read_faults: 0,
-                    write_backs: 0,
-                    attempts: 0,
-                    retries: 0,
-                    faults_injected: 0,
-                    degraded: 0,
-                    released_bytes: 0,
-                    cleaned_files: 0,
-                    deadline_hit: false,
-                    panicked: false,
                     resumed: true,
                     error: if ok {
                         None
                     } else {
                         Some("failed before restart (replayed from journal)".into())
                     },
+                    ..JobResult::planned(*id, &req, &plan)
                 });
             }
             None => pending.push((*id, req)),

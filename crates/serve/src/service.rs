@@ -1,13 +1,15 @@
-//! The service proper: a worker pool behind a budget-gated job queue.
+//! The service proper: worker pools behind budget-gated job queues.
 //!
-//! Submission plans the job (`mmjoin::choose()` on planning-time
-//! inputs), rejects it outright if its footprint can never fit, and
-//! otherwise queues it. Workers admit jobs under the configured
-//! [`AdmissionPolicy`], reserving `m_rproc × D` bytes of the global
-//! budget for the duration of the run — the reservation never exceeds
-//! the budget, by construction.
+//! The global budget is split into shard slices, each with its own
+//! queue and workers (the `shard` module); [`Service::start`] is the
+//! one-shard case, whose single slice is the whole budget. Submission
+//! plans the job (`mmjoin::choose()` on planning-time inputs), rejects
+//! it outright if its footprint fits no slice, and otherwise places it
+//! on a shard's queue. Workers admit jobs under the configured
+//! [`AdmissionPolicy`], reserving `m_rproc × D` bytes of their slice for
+//! the duration of the run — the slices sum to the global budget, so
+//! the reservations never exceed it, by construction.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -22,15 +24,17 @@ use mmjoin_env::{
     null_sink, EnvError, FaultSpec, FaultyEnv, Histogram, ProcStats, TraceEvent, TraceSink,
 };
 use mmjoin_mmstore::{MmapEnv, MmapEnvConfig};
+use mmjoin_recovery::JournalRecord;
 use mmjoin_relstore::build;
 use mmjoin_vmsim::{calibrated_params, DiskParams, SimConfig, SimEnv};
 
 use crate::admission::{AdmissionPolicy, Candidate};
 use crate::job::{JobId, JobRequest, JobResult, PAGE};
-use crate::plan::resolve_auto;
+use crate::placement::{Placement, PlacementKind, ShardLoad};
+use crate::plan::{resolve_auto, ResolvedPlan};
 use crate::recovery::{plan_resume, CheckpointSink, ResumeOutcome, ServiceJournal};
+use crate::shard::{shard_worker, Shard};
 use crate::stats::ServiceStats;
-use mmjoin_recovery::JournalRecord;
 
 /// Which environment jobs execute on.
 #[derive(Clone, Debug)]
@@ -207,8 +211,7 @@ pub fn service_machine() -> Result<&'static MachineParams, String> {
         .map_err(Clone::clone)
 }
 
-/// A planned job waiting for admission. Shared with the sharded
-/// service, whose queues hold the same unit of work.
+/// A planned job waiting for admission on a shard's queue.
 pub(crate) struct Queued {
     pub(crate) id: JobId,
     pub(crate) req: JobRequest,
@@ -216,29 +219,12 @@ pub(crate) struct Queued {
     pub(crate) enqueued: Instant,
 }
 
-/// What the execution core ([`run_job`]) needs from whatever owns the
-/// job: configuration, a trace clock, and a way to return degraded
-/// reservations to the right budget pool mid-run. The single-queue
-/// [`Service`] and each shard of the sharded service implement it.
-pub(crate) trait JobHost: Sync {
-    /// Service configuration (deadline, retries, faults, env, trace).
-    fn cfg(&self) -> &ServeConfig;
-    /// Emit a job lifecycle event at the service wall clock.
-    fn trace(&self, event: TraceEvent);
-    /// Return `bytes` of a running job's reservation to the budget pool
-    /// mid-run (graceful degradation), waking admission waiters.
-    fn release(&self, bytes: u64);
-    /// The service's write-ahead journal, if one is configured.
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        None
-    }
-}
-
-/// The common surface of the single-queue [`Service`] and the sharded
-/// `ShardedService`: submit jobs, wait for them, read results and
-/// counters. Dropping an implementation shuts its workers down, so a
-/// `drain` + `results` + `stats` sequence through this trait observes
-/// the same final state `finish` would return.
+/// The service's client surface: submit jobs, wait for them, read
+/// results and counters. [`Service`] implements it; callers that hold a
+/// `Box<dyn JoinService>` need not know the shard count. Dropping an
+/// implementation shuts its workers down, so a `drain` + `results` +
+/// `stats` sequence through this trait observes the same final state
+/// `finish` would return.
 pub trait JoinService: Send + Sync {
     /// Plan and enqueue one job; returns its id or a submit-time
     /// rejection.
@@ -253,12 +239,8 @@ pub trait JoinService: Send + Sync {
     /// Merged snapshot of the service counters.
     fn stats(&self) -> ServiceStats;
 
-    /// Per-shard snapshots (a single-element vector on the single-queue
-    /// service).
+    /// Per-shard snapshots, in shard order.
     fn shard_stats(&self) -> Vec<ServiceStats>;
-
-    /// Number of shards (1 for the single-queue service).
-    fn shards(&self) -> u32;
 
     /// Parse and submit every job line of `text` (see
     /// [`JobRequest::parse_line`]). Returns the accepted ids; a line
@@ -280,105 +262,37 @@ pub trait JoinService: Send + Sync {
     }
 }
 
+/// Submission and completion bookkeeping shared by every shard.
 #[derive(Default)]
-struct State {
-    pending: VecDeque<Queued>,
-    used_bytes: u64,
-    running: usize,
+struct Global {
     next_id: JobId,
+    placed: u64,
+    finished: u64,
+    rejected: u64,
     results: Vec<JobResult>,
-    stats: ServiceStats,
-    shutdown: bool,
 }
 
-struct Shared {
-    cfg: ServeConfig,
-    /// Write-ahead journal, when `cfg.journal_dir` is set.
-    journal: Option<Arc<ServiceJournal>>,
-    state: Mutex<State>,
-    /// Signalled when work may have become admissible (new job, budget
-    /// released, shutdown).
-    work: Condvar,
-    /// Signalled when a job completes (for [`Service::drain`]).
+/// State shared by the service handle and every shard's workers.
+pub(crate) struct Inner {
+    pub(crate) cfg: ServeConfig,
+    placement: Box<dyn Placement>,
+    pub(crate) shards: Vec<Shard>,
+    /// Write-ahead journal shared by every shard, when configured.
+    pub(crate) journal: Option<Arc<ServiceJournal>>,
+    global: Mutex<Global>,
+    /// Signalled under `global` when a job completes (for `drain`).
     done: Condvar,
     /// Service start; lifecycle trace timestamps are seconds since it.
     origin: Instant,
 }
 
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+impl Inner {
+    fn global_lock(&self) -> MutexGuard<'_, Global> {
+        self.global.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Overlay live journal counters onto a stats snapshot.
-    fn fold_journal(&self, stats: &mut ServiceStats) {
-        if let Some(j) = &self.journal {
-            let js = j.stats();
-            stats.journal_appended_records = js.appended_records;
-            stats.journal_commits = js.commits;
-        }
-    }
-}
-
-/// Install a replayed journal's outcome into a freshly-built service
-/// (before its workers start): completed jobs land in the results,
-/// in-flight jobs re-enter the queue under their original ids, and id
-/// assignment continues past everything the journal has seen.
-fn apply_resume(shared: &Shared, outcome: ResumeOutcome) -> Result<(), String> {
-    shared.trace(outcome.trace_event());
-    let mut submitted_traces = Vec::with_capacity(outcome.pending.len());
-    {
-        let mut st = shared.lock();
-        st.next_id = st.next_id.max(outcome.next_id);
-        st.stats.journal_replayed_records = outcome.records;
-        st.stats.journal_torn_bytes = outcome.torn_bytes;
-        st.stats.journal_orphans_deleted = outcome.orphans_deleted;
-        st.stats.journal_resumed_jobs = outcome.pending.len() as u64;
-        for r in outcome.finished {
-            st.stats.submitted += 1;
-            st.stats.record(&r, None, None);
-            st.results.push(r);
-        }
-        for (id, mut req) in outcome.pending {
-            // Journaled `plan=auto` lines re-resolve to the identical
-            // plan here: the sampler is seeded from the workload seed.
-            let resolved = resolve_auto(&shared.cfg, &mut req)?;
-            let plan = match &resolved {
-                Some(r) => r.auto.choice.clone(),
-                None => choose(shared.cfg.machine()?, &req.planner_inputs()),
-            };
-            submitted_traces.push((id, req.footprint(), resolved));
-            st.stats.submitted += 1;
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-        }
-    }
-    for (id, footprint, resolved) in submitted_traces {
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                shared.trace(ev);
-            }
-        }
-        shared.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: 0,
-        });
-    }
-    shared.work.notify_all();
-    Ok(())
-}
-
-impl JobHost for Shared {
-    fn cfg(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    fn trace(&self, event: TraceEvent) {
+    /// Emit a job lifecycle event at the service wall clock.
+    pub(crate) fn trace(&self, event: TraceEvent) {
         if self.cfg.trace.enabled() {
             self.cfg
                 .trace
@@ -386,32 +300,111 @@ impl JobHost for Shared {
         }
     }
 
-    fn release(&self, bytes: u64) {
-        {
-            let mut st = self.lock();
-            st.used_bytes -= bytes;
+    /// Wake every shard's workers: local admission and steal
+    /// opportunities both span shards.
+    pub(crate) fn kick_all(&self) {
+        for s in &self.shards {
+            s.work.notify_all();
         }
-        self.work.notify_all();
     }
 
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        self.journal.as_ref()
+    fn loads(&self) -> Vec<ShardLoad> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.load(i as u32))
+            .collect()
+    }
+
+    /// Return `bytes` of a running job's reservation to `shard`'s slice
+    /// mid-run (graceful degradation); every shard may then admit.
+    fn release(&self, shard: usize, bytes: u64) {
+        self.shards[shard].lock().used_bytes -= bytes;
+        self.kick_all();
+    }
+
+    /// Make a terminal result visible and wake `drain` waiters.
+    pub(crate) fn complete(&self, result: JobResult) {
+        let mut g = self.global_lock();
+        g.finished += 1;
+        g.results.push(result);
+        self.done.notify_all();
+    }
+
+    /// Plan a request at submit (or resume) time: resolve `plan=auto`
+    /// in place, then rank algorithms at the chosen grants.
+    fn plan(&self, req: &mut JobRequest) -> Result<(Option<ResolvedPlan>, PlanChoice), String> {
+        let resolved = resolve_auto(&self.cfg, req)?;
+        let plan = match &resolved {
+            Some(r) => r.auto.choice.clone(),
+            None => choose(self.cfg.machine()?, &req.planner_inputs()),
+        };
+        Ok((resolved, plan))
+    }
+
+    /// Queue a planned job on shard `k` and narrate it.
+    fn enqueue(
+        &self,
+        k: usize,
+        id: JobId,
+        req: JobRequest,
+        plan: PlanChoice,
+        resolved: Option<ResolvedPlan>,
+    ) {
+        let footprint = req.footprint();
+        self.shards[k].enqueue(Queued {
+            id,
+            req,
+            plan,
+            enqueued: Instant::now(),
+        });
+        if let Some(r) = &resolved {
+            for ev in r.trace_events(id) {
+                self.trace(ev);
+            }
+        }
+        self.trace(TraceEvent::JobSubmitted {
+            job: id,
+            footprint,
+            shard: k as u32,
+        });
     }
 }
 
-/// A running join service. Dropping it shuts the workers down; use
-/// [`Service::finish`] to also collect results and stats.
+/// A running join service: the global budget split into one or more
+/// shard slices, each with its own queue and worker pool. Dropping it
+/// shuts the workers down; use [`Service::finish`] to also collect
+/// results and stats.
 pub struct Service {
-    shared: Arc<Shared>,
+    inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Service {
-    /// Start a service with `cfg.workers` worker threads. Fails if the
-    /// OS refuses to spawn them (already-started workers are shut back
-    /// down).
+    /// Start a one-shard service with `cfg.workers` worker threads: one
+    /// queue admitting against the whole budget. Fails if the OS
+    /// refuses to spawn the workers (already-started workers are shut
+    /// back down).
     pub fn start(cfg: ServeConfig) -> Result<Service, String> {
-        let workers = cfg.workers.max(1);
+        Service::sharded(cfg, 1, PlacementKind::default().build())
+    }
+
+    /// Start `shards` shards, each with a `cfg.budget_bytes / shards`
+    /// slice of the global budget (remainder bytes spread over the
+    /// first shards) and `cfg.workers` worker threads of its own.
+    /// `placement` picks each submitted job's shard.
+    pub fn sharded(
+        cfg: ServeConfig,
+        shards: u32,
+        placement: Box<dyn Placement>,
+    ) -> Result<Service, String> {
+        let n = shards.max(1) as usize;
+        let workers_per_shard = cfg.workers.max(1);
+        let base = cfg.budget_bytes / n as u64;
+        let rem = cfg.budget_bytes % n as u64;
+        let shards: Vec<Shard> = (0..n)
+            .map(|i| Shard::new(base + u64::from((i as u64) < rem)))
+            .collect();
         let (journal, resume_plan) = match &cfg.journal_dir {
             Some(dir) => {
                 let (j, plan) = ServiceJournal::open(dir, cfg.resume, cfg.trace.clone())?;
@@ -423,148 +416,64 @@ impl Service {
             Some(plan) => Some(plan_resume(&cfg, plan)?),
             None => None,
         };
-        let shared = Arc::new(Shared {
+        let inner = Arc::new(Inner {
             cfg,
+            placement,
+            shards,
             journal,
-            state: Mutex::new(State::default()),
-            work: Condvar::new(),
+            global: Mutex::new(Global::default()),
             done: Condvar::new(),
             origin: Instant::now(),
         });
         if let Some(outcome) = outcome {
-            apply_resume(&shared, outcome)?;
+            apply_resume(&inner, outcome)?;
         }
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let sh = Arc::clone(&shared);
-            match std::thread::Builder::new()
-                .name(format!("mmjoin-serve-{i}"))
-                .spawn(move || worker_loop(&sh))
-            {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    let mut svc = Service {
-                        shared,
-                        workers: handles,
-                    };
-                    svc.stop();
-                    return Err(format!("cannot spawn worker {i}: {e}"));
+        let mut handles = Vec::with_capacity(n * workers_per_shard);
+        for shard in 0..n {
+            for w in 0..workers_per_shard {
+                let worker_inner = Arc::clone(&inner);
+                match std::thread::Builder::new()
+                    .name(format!("mmjoin-shard-{shard}-{w}"))
+                    .spawn(move || shard_worker(&worker_inner, shard))
+                {
+                    Ok(h) => handles.push(h),
+                    Err(e) => {
+                        let mut svc = Service {
+                            inner,
+                            workers: handles,
+                        };
+                        svc.stop();
+                        return Err(format!("cannot spawn shard {shard} worker {w}: {e}"));
+                    }
                 }
             }
         }
         Ok(Service {
-            shared,
+            inner,
             workers: handles,
         })
     }
 
-    /// The configured global budget in bytes.
-    pub fn budget_bytes(&self) -> u64 {
-        self.shared.cfg.budget_bytes
+    /// Per-shard budget slices, in shard order.
+    pub fn shard_budgets(&self) -> Vec<u64> {
+        self.inner.shards.iter().map(|s| s.budget_bytes).collect()
     }
 
-    /// Plan and enqueue one job. Returns its id, or an error if the job
-    /// could *never* run: a footprint above the whole budget would sit
-    /// in the queue forever (and under FIFO starve everything behind
-    /// it), so it is refused here instead.
-    pub fn submit(&self, mut req: JobRequest) -> Result<JobId, String> {
-        // Capture the submitted form before auto-planning mutates the
-        // grants: the journal must store the original `plan=auto` line
-        // so a resumed service re-resolves it (deterministically, the
-        // sampler is seeded) instead of re-trimming a trimmed grant.
-        let original_line = req.to_line();
-        let resolved = resolve_auto(&self.shared.cfg, &mut req)?;
-        // Everything below budgets against the *chosen* grants.
-        let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(self.shared.cfg.machine()?, &req.planner_inputs()),
-        };
-        let mut st = self.shared.lock();
-        if footprint > self.shared.cfg.budget_bytes {
-            st.stats.rejected += 1;
-            return Err(format!(
-                "job footprint {footprint} B exceeds the global budget {} B",
-                self.shared.cfg.budget_bytes
-            ));
-        }
-        st.next_id += 1;
-        let id = st.next_id;
-        // Journal-before-queue, under the id-assigning lock: a client
-        // that got an id back will find its job after a crash, and
-        // journal order matches id order.
-        if let Some(j) = &self.shared.journal {
-            j.append_commit(&JournalRecord::JobSubmitted {
-                job: id,
-                line: original_line,
-            });
-        }
-        st.stats.submitted += 1;
-        st.pending.push_back(Queued {
-            id,
-            req,
-            plan,
-            enqueued: Instant::now(),
-        });
-        drop(st);
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                self.shared.trace(ev);
-            }
-        }
-        self.shared.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: 0,
-        });
-        self.shared.work.notify_all();
-        Ok(id)
-    }
-
-    /// Block until every submitted job has completed.
-    pub fn drain(&self) {
-        let mut st = self.shared.lock();
-        while !st.pending.is_empty() || st.running > 0 {
-            st = self.shared.done.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Results completed so far, in completion order.
-    pub fn results(&self) -> Vec<JobResult> {
-        self.shared.lock().results.clone()
-    }
-
-    /// Snapshot of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        let st = self.shared.lock();
-        let mut stats = st.stats.clone();
-        stats.budget_bytes = self.shared.cfg.budget_bytes;
-        stats.budget_leak_bytes = if st.running == 0 { st.used_bytes } else { 0 };
-        drop(st);
-        self.shared.fold_journal(&mut stats);
-        stats
-    }
-
-    /// Drain, stop the workers, and return every result plus the final
+    /// Drain, stop the workers, and return every result plus the merged
     /// counters.
     pub fn finish(mut self) -> (Vec<JobResult>, ServiceStats) {
-        self.drain();
+        JoinService::drain(&self);
         self.stop();
-        let mut st = self.shared.lock();
-        let results = std::mem::take(&mut st.results);
-        let mut stats = st.stats.clone();
-        stats.budget_bytes = self.shared.cfg.budget_bytes;
-        // Every job has released its reservation; anything left is an
-        // accounting leak.
-        stats.budget_leak_bytes = st.used_bytes;
-        drop(st);
-        self.shared.fold_journal(&mut stats);
+        let results = std::mem::take(&mut self.inner.global_lock().results);
+        let stats = JoinService::stats(&self);
         (results, stats)
     }
 
     fn stop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.work.notify_all();
+        for s in &self.inner.shards {
+            s.lock().shutdown = true;
+        }
+        self.inner.kick_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -578,110 +487,150 @@ impl Drop for Service {
 }
 
 impl JoinService for Service {
-    fn submit(&self, req: JobRequest) -> Result<JobId, String> {
-        Service::submit(self, req)
+    /// Plan and place one job. Returns its id, or an error if the job
+    /// could *never* run: a footprint above every shard's slice would
+    /// sit in a queue forever (and under FIFO starve everything behind
+    /// it), so it is refused here instead. With one shard the slice is
+    /// the whole budget.
+    fn submit(&self, mut req: JobRequest) -> Result<JobId, String> {
+        // Capture the submitted form before auto-planning mutates the
+        // grants: the journal must store the original `plan=auto` line
+        // so a resumed service re-resolves it (deterministically, the
+        // sampler is seeded) instead of re-trimming a trimmed grant.
+        let original_line = req.to_line();
+        // Everything below budgets against the *chosen* grants.
+        let (resolved, plan) = self.inner.plan(&mut req)?;
+        let footprint = req.footprint();
+        let cand = Candidate {
+            footprint,
+            predicted_seconds: plan.predicted_seconds(),
+        };
+        let loads = self.inner.loads();
+        let Some(k) = self.inner.placement.place(&cand, &loads) else {
+            let max = loads.iter().map(|l| l.budget_bytes).max().unwrap_or(0);
+            self.inner.global_lock().rejected += 1;
+            return Err(format!(
+                "job footprint {footprint} B exceeds every shard's budget slice (largest {max} B; \
+                 no slice exceeds the global budget {} B)",
+                self.inner.cfg.budget_bytes
+            ));
+        };
+        let id = {
+            let mut g = self.inner.global_lock();
+            g.next_id += 1;
+            g.placed += 1;
+            let id = g.next_id;
+            // Journal-before-queue, under the id-assigning lock: a
+            // client that got an id back will find its job after a
+            // crash, and journal order matches id order.
+            if let Some(j) = &self.inner.journal {
+                j.append_commit(&JournalRecord::JobSubmitted {
+                    job: id,
+                    line: original_line,
+                });
+            }
+            id
+        };
+        self.inner.enqueue(k, id, req, plan, resolved);
+        // Every shard wakes: the owner to admit, idle siblings to steal.
+        self.inner.kick_all();
+        Ok(id)
     }
 
+    /// Block until every submitted job has completed.
     fn drain(&self) {
-        Service::drain(self)
+        let mut g = self.inner.global_lock();
+        while g.finished < g.placed {
+            g = self.inner.done.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
+    /// Results completed so far, in completion order.
     fn results(&self) -> Vec<JobResult> {
-        Service::results(self)
+        self.inner.global_lock().results.clone()
     }
 
+    /// Merged counters: per-shard snapshots folded with
+    /// [`ServiceStats::merge`], plus the service-wide rejection and
+    /// journal counts.
     fn stats(&self) -> ServiceStats {
-        Service::stats(self)
+        let mut merged = ServiceStats::default();
+        for s in &self.inner.shards {
+            merged.merge(&s.stats_snapshot());
+        }
+        merged.rejected = self.inner.global_lock().rejected;
+        if let Some(j) = &self.inner.journal {
+            let js = j.stats();
+            merged.journal_appended_records = js.appended_records;
+            merged.journal_commits = js.commits;
+        }
+        merged
     }
 
+    /// Per-shard snapshots, in shard order.
     fn shard_stats(&self) -> Vec<ServiceStats> {
-        vec![Service::stats(self)]
-    }
-
-    fn shards(&self) -> u32 {
-        1
+        self.inner
+            .shards
+            .iter()
+            .map(Shard::stats_snapshot)
+            .collect()
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let mut st = shared.lock();
-        let job = loop {
-            if st.shutdown {
-                return;
-            }
-            let free = shared.cfg.budget_bytes - st.used_bytes;
-            let candidates: Vec<Candidate> = st
-                .pending
-                .iter()
-                .map(|q| Candidate {
-                    footprint: q.req.footprint(),
-                    predicted_seconds: q.plan.predicted_seconds(),
-                })
-                .collect();
-            // `pick` indexes into `candidates`, which mirrors `pending`
-            // one-to-one under the held lock; a miss means a policy bug,
-            // handled by re-evaluating rather than crashing the worker.
-            if let Some(q) = shared
-                .cfg
-                .policy
-                .pick(&candidates, free)
-                .and_then(|idx| st.pending.remove(idx))
-            {
-                break q;
-            }
-            st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
-        };
-        let footprint = job.req.footprint();
-        st.used_bytes += footprint;
-        st.stats.peak_budget_bytes = st.stats.peak_budget_bytes.max(st.used_bytes);
-        st.running += 1;
-        let used = st.used_bytes;
-        drop(st);
-        shared.trace(TraceEvent::JobAdmitted {
-            job: job.id,
-            footprint,
-            used,
-            shard: 0,
-        });
-
-        let (result, folded, passes) = run_job(shared, job, 0);
-
-        // Journal the terminal result (and any area records still
-        // riding) before it becomes visible in memory: a crash after
-        // this commit re-reports the job, never re-runs it.
-        if let Some(j) = &shared.journal {
-            j.append_commit(&JournalRecord::JobCompleted {
-                job: result.id,
-                pairs: result.pairs,
-                checksum: result.checksum,
-                ok: result.error.is_none() && result.verified,
-            });
-        }
-
-        let mut st = shared.lock();
-        // Terminal release — success, error, deadline, and panic paths
-        // alike: degradations already returned part of the reservation
-        // mid-run, so exactly the remainder is still held. Releasing
-        // anything else here (e.g. the degraded job's *halved* footprint)
-        // would leak budget on every degraded-then-failed job.
-        debug_assert!(result.released_bytes <= footprint);
-        st.used_bytes -= footprint - result.released_bytes;
-        st.running -= 1;
-        st.stats.record(&result, folded.as_ref(), passes.as_ref());
-        let ok = result.error.is_none() && result.verified;
-        shared.trace(TraceEvent::JobCompleted {
-            job: result.id,
-            ok,
-            degraded: result.degraded,
-        });
-        st.results.push(result);
-        drop(st);
-        // Freed budget may admit a queued job; a finished job may
-        // complete a drain.
-        shared.work.notify_all();
-        shared.done.notify_all();
+/// Install a replayed journal's outcome into a freshly-built service
+/// (before its workers start): the replay and its completed jobs are
+/// accounted to shard 0's counters, in-flight jobs are re-placed under
+/// their original ids by the configured placement policy, and id
+/// assignment continues past everything the journal has seen.
+fn apply_resume(inner: &Inner, outcome: ResumeOutcome) -> Result<(), String> {
+    inner.trace(outcome.trace_event());
+    inner.global_lock().next_id = outcome.next_id;
+    {
+        let stats = &mut inner.shards[0].lock().stats;
+        stats.journal_replayed_records = outcome.records;
+        stats.journal_torn_bytes = outcome.torn_bytes;
+        stats.journal_orphans_deleted = outcome.orphans_deleted;
+        stats.journal_resumed_jobs = outcome.pending.len() as u64;
     }
+    let finish = |r: JobResult| {
+        {
+            let mut st = inner.shards[0].lock();
+            st.stats.submitted += 1;
+            st.stats.record(&r, None, None);
+        }
+        inner.global_lock().placed += 1;
+        inner.complete(r);
+    };
+    for r in outcome.finished {
+        finish(r);
+    }
+    for (id, mut req) in outcome.pending {
+        // Journaled `plan=auto` lines re-resolve to the identical plan
+        // here: the sampler is seeded from the workload seed.
+        let (resolved, plan) = inner.plan(&mut req)?;
+        let cand = Candidate {
+            footprint: req.footprint(),
+            predicted_seconds: plan.predicted_seconds(),
+        };
+        let Some(k) = inner.placement.place(&cand, &inner.loads()) else {
+            // The journal came from a differently-shaped service and no
+            // slice can ever hold this job: fail it visibly rather than
+            // queue it forever (which would hang every drain).
+            finish(JobResult {
+                resumed: true,
+                error: Some(format!(
+                    "resumed job footprint {} B exceeds every shard's budget slice",
+                    cand.footprint
+                )),
+                ..JobResult::planned(id, &req, &plan)
+            });
+            continue;
+        };
+        inner.global_lock().placed += 1;
+        inner.enqueue(k, id, req, plan, resolved);
+    }
+    inner.kick_all();
+    Ok(())
 }
 
 /// One plan-level execution: the join ran (possibly with internal
@@ -706,42 +655,19 @@ struct Attempt {
 /// * **transient faults** — absorbed inside `join_with_retry` with
 ///   bounded exponential backoff and orphan cleanup.
 pub(crate) fn run_job(
-    host: &impl JobHost,
+    inner: &Inner,
+    shard: usize,
     job: Queued,
-    exec_shard: u32,
 ) -> (JobResult, Option<ProcStats>, Option<Histogram>) {
     let queue_wait = job.enqueued.elapsed().as_secs_f64();
-    let cfg = host.cfg();
+    let cfg = &inner.cfg;
     let started = Instant::now();
     let mut m_rproc = job.req.m_rproc;
     let mut m_sproc = job.req.m_sproc;
     let mut result = JobResult {
-        id: job.id,
-        shard: exec_shard,
-        name: job.req.name.clone(),
-        alg: job
-            .req
-            .alg
-            .unwrap_or_else(|| Algo::from(job.plan.algorithm)),
-        predicted_seconds: job.plan.predicted_seconds(),
-        pairs: 0,
-        checksum: 0,
-        verified: false,
-        env_elapsed: 0.0,
+        shard: shard as u32,
         queue_wait,
-        exec_wall: 0.0,
-        read_faults: 0,
-        write_backs: 0,
-        attempts: 0,
-        retries: 0,
-        faults_injected: 0,
-        degraded: 0,
-        released_bytes: 0,
-        cleaned_files: 0,
-        deadline_hit: false,
-        panicked: false,
-        resumed: false,
-        error: None,
+        ..JobResult::planned(job.id, &job.req, &job.plan)
     };
     let outcome: Result<(JoinOutput, bool), String> = loop {
         if cfg.deadline.is_some_and(|d| started.elapsed() >= d) {
@@ -754,13 +680,13 @@ pub(crate) fn run_job(
         // Re-plan under the (possibly degraded) budgets. Jobs that
         // pinned an algorithm keep it; `auto` jobs ask the planner what
         // is cheapest at this footprint.
-        let alg = match plan_algorithm(host.cfg(), &job, m_rproc, m_sproc) {
+        let alg = match plan_algorithm(cfg, &job, m_rproc, m_sproc) {
             Ok(alg) => alg,
             Err(e) => break Err(e),
         };
         result.alg = alg;
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            execute(cfg, host.journal(), &job, alg, m_rproc, m_sproc)
+            execute(cfg, inner.journal.as_ref(), &job, alg, m_rproc, m_sproc)
         }));
         let attempt = match attempt {
             Ok(a) => a,
@@ -779,7 +705,7 @@ pub(crate) fn run_job(
             Err(EnvError::DiskFull(_)) if result.degraded < MAX_DEGRADE && m_rproc / 2 >= PAGE => {
                 // Graceful degradation: halve the footprint and re-plan
                 // rather than failing the job. The halved reservation is
-                // returned to the global budget immediately, so queued
+                // returned to the shard's slice immediately, so queued
                 // jobs can be admitted while this one re-runs smaller.
                 let d = job.req.workload.rel.d as u64;
                 let freed = (m_rproc - m_rproc / 2) * d;
@@ -790,12 +716,12 @@ pub(crate) fn run_job(
                 // Emit before releasing: a trace consumer must see the
                 // cause (degradation) before its effect (another job's
                 // admission into the freed room).
-                host.trace(TraceEvent::JobDegraded {
+                inner.trace(TraceEvent::JobDegraded {
                     job: job.id,
                     footprint: m_rproc * d,
                     released: freed,
                 });
-                host.release(freed);
+                inner.release(shard, freed);
             }
             Err(e) => break Err(e.to_string()),
         }
@@ -963,6 +889,7 @@ fn attempt_on<E: mmjoin_env::Env>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::ServiceJournal;
 
     fn tiny_job(seed: u64, mem_pages: u64) -> JobRequest {
         JobRequest::new(800, 32, 2, mem_pages, seed)

@@ -1,25 +1,27 @@
-//! The sharded service: the global budget partitioned across N shards,
-//! each owning its own admission queue, worker pool, and counters.
+//! One shard of the service: a slice of the global budget with its own
+//! admission queue, worker pool, and counters.
 //!
 //! The paper's staggered-phase schedule removes disk contention *inside*
-//! one join; the single-queue [`Service`](crate::Service) still funnels
-//! every job through one lock, one queue, and one budget — a
-//! single-resource bottleneck. [`ShardedService`] splits the service
-//! itself, shared-nothing style:
+//! one join; a service with one queue still funnels every job through
+//! one lock, one queue, and one budget — a single-resource bottleneck.
+//! [`Service::sharded`](crate::Service::sharded) splits the service
+//! itself, shared-nothing style ([`Service::start`](crate::Service::start)
+//! is the one-shard case):
 //!
 //! * the global budget is partitioned into per-shard slices (quotient
 //!   split; remainders spread over the first shards), so the *sum of
 //!   per-shard reservations can never exceed the global budget* — each
 //!   shard enforces its own slice locally, without a global lock;
-//! * a [`Placement`] policy picks the owning shard at submission time
-//!   (round-robin, least-reserved-bytes, or planner-predicted backlog
-//!   balance);
+//! * a [`Placement`](crate::Placement) policy picks the owning shard at
+//!   submission time (round-robin, least-reserved-bytes, or
+//!   planner-predicted backlog balance);
 //! * each shard runs `cfg.workers` worker threads against its own queue
 //!   under the configured [`AdmissionPolicy`](crate::AdmissionPolicy);
 //! * an idle shard with free budget **steals** queued-but-unadmitted
 //!   jobs from the sibling with the deepest queue (taking the most
 //!   recently placed job first, so the victim's FIFO head is never
 //!   overtaken), which corrects placements that turn out unbalanced.
+//!   With one shard there is no sibling, so nothing is ever stolen.
 //!
 //! Stealing invariants: a job is only ever held by one shard (removal
 //! from the victim's queue happens under the victim's lock; admission
@@ -30,51 +32,53 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use mmjoin_env::TraceEvent;
+use mmjoin_recovery::JournalRecord;
 
 use crate::admission::Candidate;
-use crate::job::{JobId, JobRequest, JobResult};
-use crate::placement::{Placement, ShardLoad};
-use crate::recovery::{plan_resume, ResumeOutcome, ServiceJournal};
-use crate::service::{run_job, JobHost, JoinService, Queued, ServeConfig};
+use crate::placement::ShardLoad;
+use crate::service::{run_job, Inner, Queued};
 use crate::stats::ServiceStats;
 
-use mmjoin::choose;
-use mmjoin_recovery::JournalRecord;
-use std::sync::Arc;
-
 /// One budget slice with its queue and counters.
-struct Shard {
+pub(crate) struct Shard {
     /// This shard's slice of the global budget, in bytes.
-    budget_bytes: u64,
+    pub(crate) budget_bytes: u64,
     state: Mutex<ShardState>,
     /// Signalled when this shard's workers may be able to make progress
     /// (new local work, freed budget anywhere, shutdown).
-    work: Condvar,
+    pub(crate) work: Condvar,
 }
 
 #[derive(Default)]
-struct ShardState {
+pub(crate) struct ShardState {
     pending: VecDeque<Queued>,
     /// Bytes reserved by running jobs.
-    used_bytes: u64,
+    pub(crate) used_bytes: u64,
     /// Footprint bytes of queued (not yet admitted) jobs.
     queued_bytes: u64,
     /// Planner-predicted seconds of queued plus running jobs.
     backlog_seconds: f64,
     running: usize,
-    stats: ServiceStats,
-    shutdown: bool,
+    pub(crate) stats: ServiceStats,
+    pub(crate) shutdown: bool,
 }
 
 impl Shard {
-    fn lock(&self) -> MutexGuard<'_, ShardState> {
+    pub(crate) fn new(budget_bytes: u64) -> Shard {
+        Shard {
+            budget_bytes,
+            state: Mutex::new(ShardState::default()),
+            work: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ShardState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn load(&self, id: u32) -> ShardLoad {
+    pub(crate) fn load(&self, id: u32) -> ShardLoad {
         let st = self.lock();
         ShardLoad {
             shard: id,
@@ -85,449 +89,31 @@ impl Shard {
         }
     }
 
+    /// Append a planned job to this shard's queue.
+    pub(crate) fn enqueue(&self, q: Queued) {
+        let mut st = self.lock();
+        st.queued_bytes += q.req.footprint();
+        st.backlog_seconds += q.plan.predicted_seconds();
+        st.stats.submitted += 1;
+        st.pending.push_back(q);
+    }
+
     /// Per-shard stats snapshot with budget fields filled in.
-    fn stats_snapshot(&self) -> ServiceStats {
+    pub(crate) fn stats_snapshot(&self) -> ServiceStats {
         let st = self.lock();
         let mut stats = st.stats.clone();
         stats.budget_bytes = self.budget_bytes;
+        // Once no job runs, every reservation has been released;
+        // anything left is an accounting leak.
         stats.budget_leak_bytes = if st.running == 0 { st.used_bytes } else { 0 };
         stats
-    }
-}
-
-/// Submission and completion bookkeeping shared by every shard.
-#[derive(Default)]
-struct Global {
-    next_id: JobId,
-    placed: u64,
-    finished: u64,
-    rejected: u64,
-    results: Vec<JobResult>,
-    /// Startup replay counters (`--resume`), reported through the
-    /// merged [`ServiceStats`].
-    journal_replayed_records: u64,
-    journal_torn_bytes: u64,
-    journal_orphans_deleted: u64,
-    journal_resumed_jobs: u64,
-}
-
-struct ShardedInner {
-    cfg: ServeConfig,
-    placement: Box<dyn Placement>,
-    shards: Vec<Shard>,
-    /// Write-ahead journal shared by every shard, when configured.
-    journal: Option<Arc<ServiceJournal>>,
-    global: Mutex<Global>,
-    /// Signalled under `global` when a job completes (for `drain`).
-    done: Condvar,
-    /// Service start; lifecycle trace timestamps are seconds since it.
-    origin: Instant,
-}
-
-impl ShardedInner {
-    fn global_lock(&self) -> MutexGuard<'_, Global> {
-        self.global.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn trace(&self, event: TraceEvent) {
-        if self.cfg.trace.enabled() {
-            self.cfg
-                .trace
-                .emit(self.origin.elapsed().as_secs_f64(), event);
-        }
-    }
-
-    /// Wake every shard's workers: local admission and steal
-    /// opportunities both span shards.
-    fn kick_all(&self) {
-        for s in &self.shards {
-            s.work.notify_all();
-        }
-    }
-
-    fn loads(&self) -> Vec<ShardLoad> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.load(i as u32))
-            .collect()
-    }
-}
-
-/// A shard's view of the execution core: degradations release bytes
-/// back to the *owning shard's* slice, and every shard may then admit.
-struct ShardHost<'a> {
-    inner: &'a ShardedInner,
-    shard: usize,
-}
-
-impl JobHost for ShardHost<'_> {
-    fn cfg(&self) -> &ServeConfig {
-        &self.inner.cfg
-    }
-
-    fn trace(&self, event: TraceEvent) {
-        self.inner.trace(event);
-    }
-
-    fn release(&self, bytes: u64) {
-        {
-            let mut st = self.inner.shards[self.shard].lock();
-            st.used_bytes -= bytes;
-        }
-        self.inner.kick_all();
-    }
-
-    fn journal(&self) -> Option<&Arc<ServiceJournal>> {
-        self.inner.journal.as_ref()
-    }
-}
-
-/// A running sharded join service. Dropping it shuts the workers down;
-/// use [`ShardedService::finish`] to also collect results and stats.
-pub struct ShardedService {
-    inner: std::sync::Arc<ShardedInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardedService {
-    /// Start `shards` shards, each with a `cfg.budget_bytes / shards`
-    /// slice of the global budget (remainder bytes spread over the
-    /// first shards) and `cfg.workers` worker threads of its own.
-    pub fn start(
-        cfg: ServeConfig,
-        shards: u32,
-        placement: Box<dyn Placement>,
-    ) -> Result<ShardedService, String> {
-        let n = shards.max(1) as usize;
-        let workers_per_shard = cfg.workers.max(1);
-        let base = cfg.budget_bytes / n as u64;
-        let rem = cfg.budget_bytes % n as u64;
-        let shards: Vec<Shard> = (0..n)
-            .map(|i| Shard {
-                budget_bytes: base + u64::from((i as u64) < rem),
-                state: Mutex::new(ShardState::default()),
-                work: Condvar::new(),
-            })
-            .collect();
-        let (journal, resume_plan) = match &cfg.journal_dir {
-            Some(dir) => {
-                let (j, plan) = ServiceJournal::open(dir, cfg.resume, cfg.trace.clone())?;
-                (Some(j), plan)
-            }
-            None => (None, None),
-        };
-        let outcome = match resume_plan {
-            Some(plan) => Some(plan_resume(&cfg, plan)?),
-            None => None,
-        };
-        let inner = std::sync::Arc::new(ShardedInner {
-            cfg,
-            placement,
-            shards,
-            journal,
-            global: Mutex::new(Global::default()),
-            done: Condvar::new(),
-            origin: Instant::now(),
-        });
-        if let Some(outcome) = outcome {
-            apply_resume(&inner, outcome)?;
-        }
-        let mut handles = Vec::with_capacity(n * workers_per_shard);
-        for shard in 0..n {
-            for w in 0..workers_per_shard {
-                let worker_inner = std::sync::Arc::clone(&inner);
-                match std::thread::Builder::new()
-                    .name(format!("mmjoin-shard-{shard}-{w}"))
-                    .spawn(move || shard_worker(&worker_inner, shard))
-                {
-                    Ok(h) => handles.push(h),
-                    Err(e) => {
-                        let mut svc = ShardedService {
-                            inner,
-                            workers: handles,
-                        };
-                        svc.stop();
-                        return Err(format!("cannot spawn shard {shard} worker {w}: {e}"));
-                    }
-                }
-            }
-        }
-        Ok(ShardedService {
-            inner,
-            workers: handles,
-        })
-    }
-
-    /// The configured global budget (the sum of every shard's slice).
-    pub fn budget_bytes(&self) -> u64 {
-        self.inner.cfg.budget_bytes
-    }
-
-    /// Per-shard budget slices, in shard order.
-    pub fn shard_budgets(&self) -> Vec<u64> {
-        self.inner.shards.iter().map(|s| s.budget_bytes).collect()
-    }
-
-    /// Drain, stop the workers, and return every result plus the merged
-    /// counters.
-    pub fn finish(mut self) -> (Vec<JobResult>, ServiceStats) {
-        JoinService::drain(&self);
-        self.stop();
-        let results = std::mem::take(&mut self.inner.global_lock().results);
-        let stats = JoinService::stats(&self);
-        (results, stats)
-    }
-
-    fn stop(&mut self) {
-        for s in &self.inner.shards {
-            s.lock().shutdown = true;
-        }
-        self.inner.kick_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ShardedService {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-impl JoinService for ShardedService {
-    /// Plan and place one job. Returns its id, or an error if no
-    /// shard's budget slice could *ever* hold its footprint — the
-    /// sharded analogue of the single-queue submit-time rejection
-    /// (note it is stricter: the threshold is the largest slice, not
-    /// the whole budget).
-    fn submit(&self, mut req: JobRequest) -> Result<JobId, String> {
-        // Capture the submitted form before auto-planning mutates the
-        // grants (see the single-queue submit): the journal stores the
-        // original `plan=auto` line; footprint, placement, and
-        // admission all see the *chosen* grants.
-        let original_line = req.to_line();
-        let resolved = crate::plan::resolve_auto(&self.inner.cfg, &mut req)?;
-        let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(self.inner.cfg.machine()?, &req.planner_inputs()),
-        };
-        let cand = Candidate {
-            footprint,
-            predicted_seconds: plan.predicted_seconds(),
-        };
-        let loads = self.inner.loads();
-        let Some(k) = self.inner.placement.place(&cand, &loads) else {
-            let max = loads.iter().map(|l| l.budget_bytes).max().unwrap_or(0);
-            self.inner.global_lock().rejected += 1;
-            return Err(format!(
-                "job footprint {footprint} B exceeds every shard's budget slice (largest {max} B)"
-            ));
-        };
-        let id = {
-            let mut g = self.inner.global_lock();
-            g.next_id += 1;
-            g.placed += 1;
-            let id = g.next_id;
-            // Journal-before-queue, under the id-assigning lock (see
-            // the single-queue submit).
-            if let Some(j) = &self.inner.journal {
-                j.append_commit(&JournalRecord::JobSubmitted {
-                    job: id,
-                    line: original_line,
-                });
-            }
-            id
-        };
-        {
-            let mut st = self.inner.shards[k].lock();
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-            st.queued_bytes += footprint;
-            st.backlog_seconds += cand.predicted_seconds;
-            st.stats.submitted += 1;
-        }
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                self.inner.trace(ev);
-            }
-        }
-        self.inner.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: k as u32,
-        });
-        // Every shard wakes: the owner to admit, idle siblings to steal.
-        self.inner.kick_all();
-        Ok(id)
-    }
-
-    fn drain(&self) {
-        let mut g = self.inner.global_lock();
-        while g.finished < g.placed {
-            g = self.inner.done.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn results(&self) -> Vec<JobResult> {
-        self.inner.global_lock().results.clone()
-    }
-
-    /// Merged counters: per-shard snapshots folded with
-    /// [`ServiceStats::merge`], plus the global rejection count.
-    fn stats(&self) -> ServiceStats {
-        let mut merged = ServiceStats::default();
-        for s in &self.inner.shards {
-            merged.merge(&s.stats_snapshot());
-        }
-        {
-            let g = self.inner.global_lock();
-            merged.rejected = g.rejected;
-            merged.journal_replayed_records = g.journal_replayed_records;
-            merged.journal_torn_bytes = g.journal_torn_bytes;
-            merged.journal_orphans_deleted = g.journal_orphans_deleted;
-            merged.journal_resumed_jobs = g.journal_resumed_jobs;
-        }
-        if let Some(j) = &self.inner.journal {
-            let js = j.stats();
-            merged.journal_appended_records = js.appended_records;
-            merged.journal_commits = js.commits;
-        }
-        merged
-    }
-
-    fn shard_stats(&self) -> Vec<ServiceStats> {
-        self.inner
-            .shards
-            .iter()
-            .map(Shard::stats_snapshot)
-            .collect()
-    }
-
-    fn shards(&self) -> u32 {
-        self.inner.shards.len() as u32
-    }
-}
-
-/// Install a replayed journal's outcome into a freshly-built sharded
-/// service (before its workers start). Completed jobs are re-reported
-/// through shard 0's counters; in-flight jobs are re-placed under their
-/// original ids by the configured placement policy.
-fn apply_resume(inner: &ShardedInner, outcome: ResumeOutcome) -> Result<(), String> {
-    inner.trace(outcome.trace_event());
-    {
-        let mut g = inner.global_lock();
-        g.next_id = g.next_id.max(outcome.next_id);
-        g.journal_replayed_records = outcome.records;
-        g.journal_torn_bytes = outcome.torn_bytes;
-        g.journal_orphans_deleted = outcome.orphans_deleted;
-        g.journal_resumed_jobs = outcome.pending.len() as u64;
-    }
-    let finish = |r: JobResult| {
-        {
-            let mut st = inner.shards[0].lock();
-            st.stats.submitted += 1;
-            st.stats.record(&r, None, None);
-        }
-        let mut g = inner.global_lock();
-        g.placed += 1;
-        g.finished += 1;
-        g.results.push(r);
-    };
-    for r in outcome.finished {
-        finish(r);
-    }
-    for (id, mut req) in outcome.pending {
-        // Journaled `plan=auto` lines re-resolve to the identical plan
-        // here: the sampler is seeded from the workload seed.
-        let resolved = crate::plan::resolve_auto(&inner.cfg, &mut req)?;
-        let footprint = req.footprint();
-        let plan = match &resolved {
-            Some(r) => r.auto.choice.clone(),
-            None => choose(inner.cfg.machine()?, &req.planner_inputs()),
-        };
-        let cand = Candidate {
-            footprint,
-            predicted_seconds: plan.predicted_seconds(),
-        };
-        let Some(k) = inner.placement.place(&cand, &inner.loads()) else {
-            // The journal came from a differently-shaped service and no
-            // slice can ever hold this job: fail it visibly rather than
-            // queue it forever (which would hang every drain).
-            let mut r = resumed_failure(id, &req, &plan);
-            r.error = Some(format!(
-                "resumed job footprint {footprint} B exceeds every shard's budget slice"
-            ));
-            finish(r);
-            continue;
-        };
-        inner.global_lock().placed += 1;
-        {
-            let mut st = inner.shards[k].lock();
-            st.pending.push_back(Queued {
-                id,
-                req,
-                plan,
-                enqueued: Instant::now(),
-            });
-            st.queued_bytes += footprint;
-            st.backlog_seconds += cand.predicted_seconds;
-            st.stats.submitted += 1;
-        }
-        if let Some(r) = &resolved {
-            for ev in r.trace_events(id) {
-                inner.trace(ev);
-            }
-        }
-        inner.trace(TraceEvent::JobSubmitted {
-            job: id,
-            footprint,
-            shard: k as u32,
-        });
-    }
-    inner.kick_all();
-    Ok(())
-}
-
-/// A terminal result for a resumed job that could not be re-queued.
-fn resumed_failure(id: JobId, req: &JobRequest, plan: &mmjoin::PlanChoice) -> JobResult {
-    JobResult {
-        id,
-        shard: 0,
-        name: req.name.clone(),
-        alg: req.alg.unwrap_or_else(|| plan.algorithm.into()),
-        predicted_seconds: plan.predicted_seconds(),
-        pairs: 0,
-        checksum: 0,
-        verified: false,
-        env_elapsed: 0.0,
-        queue_wait: 0.0,
-        exec_wall: 0.0,
-        read_faults: 0,
-        write_backs: 0,
-        attempts: 0,
-        retries: 0,
-        faults_injected: 0,
-        degraded: 0,
-        released_bytes: 0,
-        cleaned_files: 0,
-        deadline_hit: false,
-        panicked: false,
-        resumed: true,
-        error: None,
     }
 }
 
 /// Pop the best steal candidate: scan siblings in descending
 /// queued-bytes order and take the *most recently placed* fitting job
 /// from the deepest queue. Locks are only ever held one at a time.
-fn steal(inner: &ShardedInner, me: usize, free_hint: u64) -> Option<(Queued, u32)> {
+fn steal(inner: &Inner, me: usize, free_hint: u64) -> Option<(Queued, u32)> {
     let mut order: Vec<(u64, usize)> = inner
         .shards
         .iter()
@@ -553,7 +139,7 @@ fn steal(inner: &ShardedInner, me: usize, free_hint: u64) -> Option<(Queued, u32
     None
 }
 
-fn shard_worker(inner: &ShardedInner, me: usize) {
+pub(crate) fn shard_worker(inner: &Inner, me: usize) {
     let shard = &inner.shards[me];
     loop {
         let mut st = shard.lock();
@@ -633,8 +219,7 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             shard: me as u32,
         });
 
-        let host = ShardHost { inner, shard: me };
-        let (result, folded, passes) = run_job(&host, job, me as u32);
+        let (result, folded, passes) = run_job(inner, me, job);
 
         // Journal the terminal result before it becomes visible in
         // memory: a crash after this commit re-reports, never re-runs.
@@ -648,9 +233,12 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
         }
 
         let mut st = shard.lock();
+        // Terminal release — success, error, deadline, and panic paths
+        // alike: degradations already returned part of the reservation
+        // mid-run, so exactly the remainder is still held. Releasing
+        // anything else here (e.g. the degraded job's *halved* footprint)
+        // would leak budget on every degraded-then-failed job.
         debug_assert!(result.released_bytes <= footprint);
-        // Terminal release: degradations already returned part of the
-        // reservation mid-run; exactly the remainder is still held.
         st.used_bytes -= footprint - result.released_bytes;
         st.running -= 1;
         st.backlog_seconds = (st.backlog_seconds - predicted).max(0.0);
@@ -667,12 +255,7 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
             ok,
             degraded,
         });
-        {
-            let mut g = inner.global_lock();
-            g.finished += 1;
-            g.results.push(result);
-            inner.done.notify_all();
-        }
+        inner.complete(result);
         // Freed budget may admit or un-starve a queued job anywhere; a
         // finished job may complete a drain.
         inner.kick_all();
@@ -682,8 +265,9 @@ fn shard_worker(inner: &ShardedInner, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::PAGE;
-    use crate::placement::PlacementKind;
+    use crate::job::{JobRequest, PAGE};
+    use crate::placement::{Placement, PlacementKind};
+    use crate::{JoinService, ServeConfig, Service};
     use mmjoin_env::{CollectingSink, TraceSink};
     use std::sync::Arc;
 
@@ -691,13 +275,8 @@ mod tests {
         JobRequest::new(800, 32, 2, mem_pages, seed)
     }
 
-    fn start(
-        budget_pages: u64,
-        workers: usize,
-        shards: u32,
-        kind: PlacementKind,
-    ) -> ShardedService {
-        ShardedService::start(
+    fn start(budget_pages: u64, workers: usize, shards: u32, kind: PlacementKind) -> Service {
+        Service::sharded(
             ServeConfig::sim(budget_pages * PAGE, workers),
             shards,
             kind.build(),
@@ -775,7 +354,7 @@ mod tests {
     fn idle_shard_steals_from_overloaded_sibling() {
         let sink = CollectingSink::new();
         let cfg = ServeConfig::sim(32 * PAGE, 1).with_trace(sink.clone() as Arc<dyn TraceSink>);
-        let svc = ShardedService::start(cfg, 2, Box::new(PinFirst)).unwrap();
+        let svc = Service::sharded(cfg, 2, Box::new(PinFirst)).unwrap();
         for seed in 0..6 {
             svc.submit(tiny_job(seed, 4)).unwrap();
         }
@@ -813,7 +392,7 @@ mod tests {
         let cfg = ServeConfig::sim(64 * PAGE, 2)
             .with_faults(mmjoin_env::FaultSpec::parse("seed=5;write:p=0.001:count=2").unwrap())
             .with_retries(6);
-        let svc = ShardedService::start(cfg, 2, PlacementKind::LeastLoaded.build()).unwrap();
+        let svc = Service::sharded(cfg, 2, PlacementKind::LeastLoaded.build()).unwrap();
         for seed in 0..6 {
             JoinService::submit(&svc, tiny_job(seed, 4)).unwrap();
         }
@@ -838,7 +417,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = || ServeConfig::sim(64 * PAGE, 1).with_journal(dir.clone());
         // First life: two completions on a 2-shard service.
-        let svc = ShardedService::start(cfg(), 2, PlacementKind::RoundRobin.build()).unwrap();
+        let svc = Service::sharded(cfg(), 2, PlacementKind::RoundRobin.build()).unwrap();
         svc.submit(tiny_job(1, 4)).unwrap();
         svc.submit(tiny_job(2, 4)).unwrap();
         let (mut first, _) = svc.finish();
@@ -853,8 +432,8 @@ mod tests {
             });
         }
         // Second life: resume on the sharded service.
-        let svc = ShardedService::start(cfg().with_resume(), 2, PlacementKind::LeastLoaded.build())
-            .unwrap();
+        let svc =
+            Service::sharded(cfg().with_resume(), 2, PlacementKind::LeastLoaded.build()).unwrap();
         assert_eq!(JoinService::submit(&svc, tiny_job(9, 4)).unwrap(), 4);
         let (mut results, stats) = svc.finish();
         results.sort_by_key(|r| r.id);
@@ -869,27 +448,5 @@ mod tests {
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.in_flight(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn single_shard_matches_single_queue_results() {
-        let jobs: Vec<JobRequest> = (0..5).map(|s| tiny_job(s, 4)).collect();
-        let sharded = start(32, 2, 1, PlacementKind::PredictedBalanced);
-        for req in jobs.clone() {
-            sharded.submit(req).unwrap();
-        }
-        let (mut sr, _) = sharded.finish();
-        let single = crate::Service::start(ServeConfig::sim(32 * PAGE, 2)).unwrap();
-        for req in jobs {
-            single.submit(req).unwrap();
-        }
-        let (mut qr, _) = single.finish();
-        sr.sort_by_key(|r| r.id);
-        qr.sort_by_key(|r| r.id);
-        let key = |r: &JobResult| (r.id, r.pairs, r.checksum, r.verified);
-        assert_eq!(
-            sr.iter().map(key).collect::<Vec<_>>(),
-            qr.iter().map(key).collect::<Vec<_>>()
-        );
     }
 }

@@ -18,7 +18,7 @@ pub struct ServiceStats {
     /// Jobs that finished with an error or failed verification.
     pub failed: u64,
     /// Jobs this shard's workers stole from an overloaded sibling's
-    /// queue and ran locally (always 0 on the single-queue service).
+    /// queue and ran locally (always 0 on a one-shard service).
     pub stolen: u64,
     /// Global budget the service was configured with, in bytes.
     pub budget_bytes: u64,

@@ -328,15 +328,10 @@ impl<E: Env> ResidentSet<E> {
                 self.live.len()
             )));
         }
-        let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
-        let mut slots = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let live: Vec<u64> = self.live.iter().copied().collect();
-            state = splitmix64(state);
-            let slot = live[(state % live.len() as u64) as usize];
+        let slots = pick_victims(&self.live, count, seed);
+        for &slot in &slots {
             self.live.remove(&slot);
             self.keys[slot as usize] = DEAD_BIT | slot;
-            slots.push(slot);
         }
         self.patch_slots(&slots, "delete")?;
         Ok(slots)
@@ -433,9 +428,61 @@ fn probe_inputs(rel: &RelConfig, header: &StreamHeader, rows: u64, skew: f64) ->
     }
 }
 
+/// The `count` slots a `delete=` with `seed` tombstones, in pick order:
+/// each draw indexes the sorted live set that remains after the earlier
+/// picks. Journal replay re-applies deletes through this, so the order
+/// and the choice are part of the on-disk contract. The live set is
+/// collected once; removing each pick keeps the vector sorted.
+fn pick_victims(live: &BTreeSet<u64>, count: u64, seed: u64) -> Vec<u64> {
+    let mut live: Vec<u64> = live.iter().copied().collect();
+    let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
+    (0..count)
+        .map(|_| {
+            state = splitmix64(state);
+            live.remove((state % live.len() as u64) as usize)
+        })
+        .collect()
+}
+
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The original pick loop: re-collect the live set before every
+    /// draw. `pick_victims` must reproduce it exactly.
+    fn reference_picks(live: &BTreeSet<u64>, count: u64, seed: u64) -> Vec<u64> {
+        let mut live = live.clone();
+        let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
+        let mut slots = Vec::new();
+        for _ in 0..count {
+            let snapshot: Vec<u64> = live.iter().copied().collect();
+            state = splitmix64(state);
+            let slot = snapshot[(state % snapshot.len() as u64) as usize];
+            live.remove(&slot);
+            slots.push(slot);
+        }
+        slots
+    }
+
+    #[test]
+    fn victims_match_the_per_slot_collect_reference() {
+        // A live set with holes, as after earlier deletes.
+        let live: BTreeSet<u64> = (0..3000u64).filter(|s| s % 7 != 3).collect();
+        for seed in [0, 1, 2, 42, 999, u64::MAX] {
+            for count in [0, 1, 2, 63, 64, 500, live.len() as u64] {
+                assert_eq!(
+                    pick_victims(&live, count, seed),
+                    reference_picks(&live, count, seed),
+                    "seed {seed} count {count}"
+                );
+            }
+        }
+    }
 }

@@ -318,24 +318,21 @@ impl<E: Env + 'static> StreamSession<E> {
                     num_disks: 1,
                     page_size: PAGE,
                 };
-                if cfg.resume {
-                    let (jenv, adopted) = MmapEnv::recover(jcfg)?;
-                    if adopted.iter().any(|n| n == JOURNAL_FILE) {
-                        let (journal, rep) = Journal::open(jenv, JOURNAL_FILE, PROC)?;
-                        journal_stats = (rep.records.len() as u64, rep.torn_bytes);
-                        replayed = Some(ReplayState::from_records(&rep.records));
-                        Some(Mutex::new(journal))
-                    } else {
-                        Some(Mutex::new(Journal::create(
-                            jenv,
-                            JOURNAL_FILE,
-                            JOURNAL_CAPACITY,
-                            PROC,
-                        )?))
-                    }
+                // Open over whatever `dir` holds: a fresh start clears
+                // only this session's own journal file, never the
+                // directory, which callers may share (the CLI keeps
+                // its store beside the journal).
+                let (jenv, adopted) = MmapEnv::recover(jcfg)?;
+                let found = adopted.iter().any(|n| n == JOURNAL_FILE);
+                if found && cfg.resume {
+                    let (journal, rep) = Journal::open(jenv, JOURNAL_FILE, PROC)?;
+                    journal_stats = (rep.records.len() as u64, rep.torn_bytes);
+                    replayed = Some(ReplayState::from_records(&rep.records));
+                    Some(Mutex::new(journal))
                 } else {
-                    let _ = std::fs::remove_dir_all(dir);
-                    let jenv = MmapEnv::new(jcfg)?;
+                    if found {
+                        jenv.delete_file(PROC, JOURNAL_FILE)?;
+                    }
                     Some(Mutex::new(Journal::create(
                         jenv,
                         JOURNAL_FILE,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mmjoin_env::{CollectingSink, TraceEvent, TraceSink};
-use mmjoin_serve::{AdmissionPolicy, JobRequest, ServeConfig, Service, PAGE};
+use mmjoin_serve::{AdmissionPolicy, JobRequest, JoinService, ServeConfig, Service, PAGE};
 
 /// A mixed batch of 10 jobs: different sizes, memories, distributions.
 /// Each job's footprint fits the budget alone; together they exceed it

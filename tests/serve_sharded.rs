@@ -6,20 +6,20 @@
 //!   than the global budget, and merging per-shard stats snapshots is
 //!   indistinguishable from folding every job into one snapshot
 //!   (bucket-exact on all four histograms);
-//! * **end-to-end runs** of [`ShardedService`] under every stock
+//! * **end-to-end runs** of [`Service::sharded`] under every stock
 //!   placement, checking the same invariants against the real
 //!   bookkeeping (per-shard peaks within per-shard slices, slices
 //!   summing to the global budget, merged counters consistent).
 
 use mmjoin::Algo;
 use mmjoin_serve::{
-    Candidate, JobRequest, JobResult, JoinService, PlacementKind, ServeConfig, ServiceStats,
-    ShardLoad, ShardedService, PAGE,
+    Candidate, JobRequest, JobResult, JoinService, PlacementKind, ServeConfig, Service,
+    ServiceStats, ShardLoad, PAGE,
 };
 use proptest::prelude::*;
 
 /// The sharded service's budget partition: quotient split, remainder
-/// bytes spread over the first shards (mirrors `ShardedService::start`).
+/// bytes spread over the first shards (mirrors `Service::sharded`).
 fn slices(budget: u64, shards: u32) -> Vec<u64> {
     let n = shards.max(1) as u64;
     (0..n)
@@ -196,7 +196,7 @@ proptest! {
 fn sharded_runs_respect_per_shard_budgets() {
     for kind in KINDS {
         let global = 64 * PAGE;
-        let svc = ShardedService::start(ServeConfig::sim(global, 1), 4, kind.build()).unwrap();
+        let svc = Service::sharded(ServeConfig::sim(global, 1), 4, kind.build()).unwrap();
         let budgets = svc.shard_budgets();
         assert_eq!(budgets.iter().sum::<u64>(), global, "{}", kind.name());
         // 8 jobs of 8 pages each against 16-page slices: oversubscribed
